@@ -215,34 +215,18 @@ func main() {
 	// order: -membership-file (dynamic: polled, each semantic change
 	// mints an epoch that the rebalancer applies — push moved arcs,
 	// evict what was acknowledged) or -peers (static: a never-changing
-	// epoch 0).
-	var donors []string
-	switch {
-	case *memberFile != "":
-		if *advertise == "" {
-			fail(fmt.Errorf("-membership-file requires -advertise (this peer's own URL in the roster)"))
-		}
-		if *peersFlag != "" {
-			fmt.Fprintln(os.Stderr, "ljqd: -membership-file takes precedence; ignoring -peers")
-		}
-		self := strings.TrimRight(*advertise, "/")
-		src, err := cluster.NewFileSource(nil, *memberFile, 0)
-		if err != nil {
-			// A missing or defective roster is a loud failure by design:
-			// a daemon must not join an empty or half-parsed ring.
-			fail(err)
-		}
-		e0 := src.Current()
-		if !e0.HasPeer(self) {
-			fail(fmt.Errorf("-advertise %q is not listed in %s", self, *memberFile))
-		}
-		for _, p := range e0.Peers() {
-			if p != self {
-				donors = append(donors, p)
-			}
-		}
+	// epoch 0). Both share one bootstrap; only the file source adds the
+	// rebalancer and the watcher.
+	if *memberFile != "" && *peersFlag != "" {
+		fmt.Fprintln(os.Stderr, "ljqd: -membership-file takes precedence; ignoring -peers")
+	}
+	ring, err := bootstrapRing(*peersFlag, *memberFile, *advertise)
+	if err != nil {
+		fail(err)
+	}
+	if ring != nil && ring.src != nil {
 		rb, err := cluster.NewRebalancer(cluster.RebalanceConfig{
-			Self:  self,
+			Self:  ring.self,
 			Cache: cache,
 			Logf: func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, "ljqd: "+format+"\n", args...)
@@ -254,11 +238,11 @@ func main() {
 		if reg != nil {
 			rb.RegisterMetrics(reg)
 		}
-		if _, err := rb.Apply(ctx, e0); err != nil { // bootstrap: adopt epoch 0
+		if _, err := rb.Apply(ctx, ring.epoch); err != nil { // bootstrap: adopt epoch 0
 			fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "ljqd: dynamic membership from %s (%s, poll %s)\n", *memberFile, e0, *memberPoll)
-		go cluster.WatchMembership(ctx, src, *memberPoll, nil, func(e *cluster.Epoch) {
+		fmt.Fprintf(os.Stderr, "ljqd: dynamic membership from %s (%s, poll %s)\n", *memberFile, ring.epoch, *memberPoll)
+		go cluster.WatchMembership(ctx, ring.src, *memberPoll, nil, func(e *cluster.Epoch) {
 			res, err := rb.Apply(ctx, e)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "ljqd: rebalance to %s failed: %v\n", e, err)
@@ -269,26 +253,10 @@ func main() {
 		}, func(err error) {
 			fmt.Fprintf(os.Stderr, "ljqd: membership poll: %v (keeping current epoch)\n", err)
 		})
-	case *peersFlag != "":
-		peers := splitPeers(*peersFlag)
-		if *advertise == "" {
-			fail(fmt.Errorf("-peers requires -advertise (this peer's own URL in the ring)"))
-		}
-		self := false
-		for _, p := range peers {
-			if p == *advertise {
-				self = true
-				continue
-			}
-			donors = append(donors, p)
-		}
-		if !self {
-			fail(fmt.Errorf("-advertise %q is not listed in -peers", *advertise))
-		}
 	}
-	if len(donors) > 0 {
+	if ring != nil && len(ring.donors) > 0 {
 		res, werr := cluster.WarmStart(ctx, cache, cluster.WarmStartConfig{
-			Donors:          donors,
+			Donors:          ring.donors,
 			PerDonorTimeout: *warmTimeout,
 		})
 		for _, a := range res.Attempts {
@@ -324,6 +292,54 @@ func main() {
 		fail(err)
 	}
 	fmt.Fprintln(os.Stderr, "ljqd: bye")
+}
+
+// ringBoot is this peer's bootstrap membership.
+type ringBoot struct {
+	epoch  *cluster.Epoch
+	src    *cluster.FileSource // nil under -peers: epoch 0 never changes
+	self   string              // -advertise without trailing slashes
+	donors []string            // every other member, in epoch order
+}
+
+// bootstrapRing builds epoch 0 from -membership-file (which wins) or
+// -peers and checks that this peer belongs to it. Both sources go
+// through the same steps: require -advertise, trim its trailing
+// slashes, find it in the epoch, and take every other member as a
+// warm-start donor. It returns nil, nil when neither source is set
+// (single-node mode).
+func bootstrapRing(peersFlag, memberFile, advertise string) (*ringBoot, error) {
+	flagName, listing := "-peers", "-peers"
+	switch {
+	case memberFile != "":
+		flagName, listing = "-membership-file", memberFile
+	case peersFlag == "":
+		return nil, nil
+	}
+	if advertise == "" {
+		return nil, fmt.Errorf("%s requires -advertise (this peer's own URL in the ring)", flagName)
+	}
+	b := &ringBoot{self: strings.TrimRight(advertise, "/")}
+	var err error
+	if memberFile != "" {
+		// A missing or defective roster is a loud failure by design: a
+		// daemon must not join an empty or half-parsed ring.
+		if b.src, err = cluster.NewFileSource(nil, memberFile, 0); err != nil {
+			return nil, err
+		}
+		b.epoch = b.src.Current()
+	} else if b.epoch, err = cluster.StaticEpoch(splitPeers(peersFlag), 0); err != nil {
+		return nil, fmt.Errorf("-peers: %w", err)
+	}
+	if !b.epoch.HasPeer(b.self) {
+		return nil, fmt.Errorf("-advertise %q is not listed in %s", b.self, listing)
+	}
+	for _, p := range b.epoch.Peers() {
+		if p != b.self {
+			b.donors = append(b.donors, p)
+		}
+	}
+	return b, nil
 }
 
 // splitPeers parses a comma-separated peer list, trimming whitespace

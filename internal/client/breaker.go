@@ -150,8 +150,8 @@ func (b *breaker) failure() {
 }
 
 // cancelSlot releases a slot claimed by allow() without judging the
-// peer: the request was abandoned (a hedged loser torn down after a
-// winner, not a verdict on the peer's health). In the closed state
+// peer: the request was abandoned (the caller's context died
+// mid-attempt — not a verdict on the peer's health). In the closed state
 // this is a no-op; in half-open it frees the probe slot so the next
 // request can probe instead of parking the breaker half-open forever.
 func (b *breaker) cancelSlot() {
@@ -203,8 +203,8 @@ func (b *Breaker) Success() { b.b.success() }
 func (b *Breaker) Failure() { b.b.failure() }
 
 // Cancel releases an Allow slot without recording a verdict: the
-// request was abandoned before completing (e.g. a hedged loser), so
-// its fate says nothing about the peer.
+// request was abandoned before completing (e.g. the caller's context
+// died mid-request), so its fate says nothing about the peer.
 func (b *Breaker) Cancel() { b.b.cancelSlot() }
 
 // State names the current state ("closed", "open", "half-open").

@@ -109,7 +109,7 @@ func (h *Health) ReportFailure(peer string) {
 }
 
 // ReportCancelled releases an Allow slot whose request was abandoned
-// (hedged loser): no verdict either way.
+// (the caller's context died mid-request): no verdict either way.
 func (h *Health) ReportCancelled(peer string) {
 	if b := h.breaker(peer); b != nil {
 		b.Cancel()

@@ -72,7 +72,7 @@ func TestHealthCancelledSlotReleased(t *testing.T) {
 	if !h.Allow("p0") {
 		t.Fatal("probe refused")
 	}
-	h.ReportCancelled("p0") // hedged loser: no verdict
+	h.ReportCancelled("p0") // abandoned request: no verdict
 	if h.State("p0") != "half-open" {
 		t.Fatalf("cancel changed state to %s", h.State("p0"))
 	}

@@ -11,8 +11,8 @@
 //     affinity: the same shape always lands on the same peer, so the
 //     cluster-wide hit rate approaches the single-node rate);
 //  2. ring successors — on primary failure or open breaker, the next
-//     distinct peers clockwise on the ring (optionally hedged: the
-//     successor is raced after RouterConfig.HedgeDelay of silence);
+//     distinct peers clockwise on the ring, tried one at a time in
+//     ring order;
 //  3. local compute — when every candidate peer is down, the router's
 //     embedded serve.Server optimizes in-process. A user request
 //     fails only when the request itself is defective (4xx) or its

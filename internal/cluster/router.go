@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"joinopt/internal/catalog"
 	"joinopt/internal/client"
@@ -48,14 +47,6 @@ type RouterConfig struct {
 	// ShedFailFast is forced on (a shedding peer should cause immediate
 	// failover to the next candidate, not an in-line Retry-After sleep).
 	Client client.Config
-	// HedgeDelay, when positive, races the next ring successor after
-	// this much primary silence instead of waiting for it to fail
-	// outright; the first useful response wins and the loser is
-	// cancelled. 0 = strictly sequential failover (deterministic, the
-	// chaos harness's mode).
-	HedgeDelay time.Duration
-	// After overrides the hedge timer (tests); nil = real timer.
-	After func(d time.Duration) <-chan time.Time
 	// Health tunes the peer-health view. A nil Health.Probe defaults
 	// to GET /readyz through the per-peer client.
 	Health HealthConfig
@@ -75,8 +66,9 @@ type peerState struct {
 
 // Router is the cluster routing client: consistent-hash primary
 // routing with breaker-aware ring-successor failover and optional
-// local compute. Safe for concurrent use; with HedgeDelay == 0 and a
-// sequential caller its request trajectory is deterministic.
+// local compute. Safe for concurrent use; candidates are tried one at
+// a time in ring order, so a sequential caller's request trajectory is
+// deterministic.
 //
 // Membership is epoch-based: the ring lives behind an atomic pointer
 // to the current Epoch, loaded exactly once per request — every
@@ -93,7 +85,6 @@ type Router struct {
 	failovers       atomic.Uint64 // responses served by a non-primary peer
 	breakerSkips    atomic.Uint64 // candidates skipped with an open breaker
 	localFallbacks  atomic.Uint64 // requests served by local compute
-	hedgedFallbacks atomic.Uint64 // successor launches triggered by the hedge timer
 	shedFailovers   atomic.Uint64 // candidates skipped over because they answered 429/503
 	epochApplies    atomic.Uint64 // membership epochs applied
 	staleEpochs     atomic.Uint64 // ApplyEpoch calls ignored as non-monotonic
@@ -127,7 +118,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		reg.CounterFunc("ljq_cluster_failover_total", "Requests served by a non-primary ring peer.", r.failovers.Load)
 		reg.CounterFunc("ljq_cluster_local_fallback_total", "Requests served by local compute after peer exhaustion.", r.localFallbacks.Load)
 		reg.CounterFunc("ljq_cluster_breaker_skip_total", "Candidate peers skipped with an open breaker.", r.breakerSkips.Load)
-		reg.CounterFunc("ljq_cluster_hedged_fallback_total", "Ring-successor launches triggered by the hedge timer.", r.hedgedFallbacks.Load)
 		reg.CounterFunc("ljq_cluster_shed_failover_total", "Candidates failed over because they answered with load shedding (429/503).", r.shedFailovers.Load)
 		reg.CounterFunc("ljq_cluster_epoch_applies_total", "Membership epochs applied to the routing ring.", r.epochApplies.Load)
 		reg.CounterFunc("ljq_read_repair_total", "Read-repair actions: responses replaced by a better local entry plus local entries upgraded from routed plans.", r.readRepairs.Load)
@@ -247,7 +237,6 @@ type RouterStats struct {
 	Failovers       uint64            `json:"failovers"`
 	BreakerSkips    uint64            `json:"breakerSkips"`
 	LocalFallbacks  uint64            `json:"localFallbacks"`
-	HedgedFallbacks uint64            `json:"hedgedFallbacks"`
 	ShedFailovers   uint64            `json:"shedFailovers"`
 	Epoch           uint64            `json:"epoch"`
 	EpochApplies    uint64            `json:"epochApplies"`
@@ -263,7 +252,6 @@ func (r *Router) Stats() RouterStats {
 		Failovers:       r.failovers.Load(),
 		BreakerSkips:    r.breakerSkips.Load(),
 		LocalFallbacks:  r.localFallbacks.Load(),
-		HedgedFallbacks: r.hedgedFallbacks.Load(),
 		ShedFailovers:   r.shedFailovers.Load(),
 		Epoch:           r.Epoch().Seq,
 		EpochApplies:    r.epochApplies.Load(),
@@ -292,28 +280,13 @@ func (r *Router) depthFor(ep *Epoch) int {
 }
 
 // Optimize routes q down the degradation ladder: primary peer, then
-// ring successors (hedged when HedgeDelay is set), then local compute.
+// ring successors one at a time in ring order, then local compute.
 // The returned error is only ever the caller's own (4xx APIError, a
 // dead context) or — with no local rung — ErrNoPeers.
 func (r *Router) Optimize(ctx context.Context, q *catalog.Query) (*serve.OptimizeResponse, error) {
 	fp, order := fingerprint.Canonical(q)
 	ep := r.epoch.Load() // one load: this request's consistent (ring, epoch) pair
 	cands := ep.ring.Successors(fp, r.depthFor(ep))
-	if r.cfg.HedgeDelay > 0 && len(cands) > 1 {
-		return r.optimizeHedged(ctx, q, order, fp, cands)
-	}
-	return r.optimizeSequential(ctx, q, order, fp, cands)
-}
-
-// shedding classifies err as a load-shedding answer (429/503) from an
-// alive peer.
-func shedding(err error) bool {
-	var s *client.ShedError
-	return errors.As(err, &s)
-}
-
-// optimizeSequential tries candidates one at a time, in ring order.
-func (r *Router) optimizeSequential(ctx context.Context, q *catalog.Query, order []catalog.RelID, fp fingerprint.Fingerprint, cands []string) (*serve.OptimizeResponse, error) {
 	var lastErr error
 	for i, peer := range cands {
 		if err := ctx.Err(); err != nil {
@@ -348,7 +321,8 @@ func (r *Router) optimizeSequential(ctx context.Context, q *catalog.Query, order
 			r.health.ReportSuccess(peer)
 			return nil, err
 		}
-		if shedding(err) {
+		var shed *client.ShedError
+		if errors.As(err, &shed) {
 			// 429/503: the peer is alive but refusing work. That is not
 			// a death verdict — no breaker strike (a shedding peer must
 			// not get its circuit opened as if it were down) — but the
@@ -464,148 +438,4 @@ func entryFromResponse(order []catalog.RelID, fp fingerprint.Fingerprint, localE
 		BudgetUsed:  resp.BudgetUsed,
 		Tier:        uint8(resp.Tier),
 	}
-}
-
-// peerResult is one candidate's outcome in the hedged path.
-type peerResult struct {
-	peer string
-	resp *serve.OptimizeResponse
-	err  error
-}
-
-// optimizeHedged races ring candidates: the primary launches
-// immediately; if it is still silent after HedgeDelay the next
-// admitted successor joins the race (one hedge at a time — further
-// successors launch only after an outright failure). The first useful
-// response wins and every loser is cancelled; abandoned health slots
-// are released without a verdict.
-func (r *Router) optimizeHedged(ctx context.Context, q *catalog.Query, order []catalog.RelID, fp fingerprint.Fingerprint, cands []string) (*serve.OptimizeResponse, error) {
-	actx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := make(chan peerResult, len(cands))
-	next, inFlight := 0, 0
-	primary := ""
-	launch := func(hedge bool) bool {
-		for next < len(cands) {
-			peer := cands[next]
-			next++
-			//ljqlint:allow slotresolve -- the slot resolves in the result loop, not here: ReportSuccess for the winning response, ReportFailure for errors, and reapLosers' ReportCancelled for abandoned in-flight candidates
-			if !r.health.Allow(peer) {
-				r.breakerSkips.Add(1)
-				continue
-			}
-			c := r.clientFor(peer)
-			if c == nil {
-				r.health.ReportCancelled(peer)
-				continue
-			}
-			if primary == "" {
-				primary = peer
-			}
-			if hedge {
-				r.hedgedFallbacks.Add(1)
-			}
-			inFlight++
-			go func(peer string, c *client.Client) {
-				// Goroutine panic barrier (panicguard): a crash in the
-				// client must resolve this candidate's slot, not kill
-				// the process.
-				defer func() {
-					if rec := recover(); rec != nil {
-						results <- peerResult{peer: peer, err: fmt.Errorf("cluster: peer attempt panicked: %v", rec)}
-					}
-				}()
-				resp, err := c.Optimize(actx, q)
-				results <- peerResult{peer: peer, resp: resp, err: err}
-			}(peer, c)
-			return true
-		}
-		return false
-	}
-	if !launch(false) {
-		return r.localCompute(ctx, q, nil)
-	}
-	timerC, stopTimer := r.hedgeTimer()
-	defer stopTimer()
-
-	var lastErr error
-	for {
-		select {
-		case out := <-results:
-			inFlight--
-			if out.err == nil {
-				r.health.ReportSuccess(out.peer)
-				r.routeCounted(out.peer)
-				if out.peer != primary {
-					r.failovers.Add(1)
-				}
-				cancel()
-				r.reapLosers(results, inFlight)
-				return r.readRepair(q, order, fp, out.resp), nil
-			}
-			var apiErr *client.APIError
-			if errors.As(out.err, &apiErr) {
-				r.health.ReportSuccess(out.peer)
-				cancel()
-				r.reapLosers(results, inFlight)
-				return nil, out.err
-			}
-			if ctx.Err() != nil {
-				r.health.ReportCancelled(out.peer)
-				r.reapLosers(results, inFlight)
-				return nil, ctx.Err()
-			}
-			if shedding(out.err) {
-				// Alive but refusing work: release the slot as success
-				// (no breaker strike) and move on to the next candidate.
-				r.health.ReportSuccess(out.peer)
-				r.shedFailovers.Add(1)
-			} else {
-				r.health.ReportFailure(out.peer)
-			}
-			lastErr = out.err
-			if inFlight == 0 && !launch(false) {
-				return r.localCompute(ctx, q, lastErr)
-			}
-		case <-timerC:
-			timerC = nil
-			launch(true)
-		case <-ctx.Done():
-			r.reapLosers(results, inFlight)
-			return nil, ctx.Err()
-		}
-	}
-}
-
-// reapLosers collects the outstanding candidates' results in the
-// background so every claimed health slot is resolved: a loser that
-// actually completed gets its real verdict; a cancelled one releases
-// its slot verdict-free. The results channel is buffered for every
-// candidate and losers are cancelled, so the reaper always terminates.
-func (r *Router) reapLosers(results chan peerResult, inFlight int) {
-	if inFlight <= 0 {
-		return
-	}
-	go func() {
-		// Goroutine panic barrier (panicguard).
-		defer func() { _ = recover() }()
-		for i := 0; i < inFlight; i++ {
-			out := <-results
-			if out.err == nil {
-				r.health.ReportSuccess(out.peer)
-			} else {
-				r.health.ReportCancelled(out.peer)
-			}
-		}
-	}()
-}
-
-// hedgeTimer arms the hedge-delay timer: the After test hook if set,
-// otherwise a stoppable real timer.
-func (r *Router) hedgeTimer() (<-chan time.Time, func()) {
-	if r.cfg.After != nil {
-		return r.cfg.After(r.cfg.HedgeDelay), func() {}
-	}
-	t := time.NewTimer(r.cfg.HedgeDelay)
-	return t.C, func() { t.Stop() }
 }

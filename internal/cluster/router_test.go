@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math/rand"
 	"net/http"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -251,67 +250,85 @@ func TestRouterNoLocalSurfacesErrNoPeers(t *testing.T) {
 	}
 }
 
-// TestRouterHedgedFallback: a silent (hanging) primary is raced by the
-// next ring successor after HedgeDelay; the successor wins, the
-// hanging loser is cancelled, no goroutines leak, and the loser's
-// health slot is released without a failure verdict.
-func TestRouterHedgedFallback(t *testing.T) {
-	servers := map[string]*serve.Server{}
-	handlers := map[string]http.Handler{}
-	peers := []string{"http://peer0", "http://peer1", "http://peer2"}
-	for _, p := range peers {
-		srv := serve.New(serve.Config{TCoeff: 1})
-		servers[p] = srv
-		handlers[hostOf(p)] = srv.Handler()
-	}
-	ct := faultinject.NewClusterTransport(handlers, nil)
-	r, err := NewRouter(RouterConfig{
-		Peers:      peers,
-		Client:     client.Config{Transport: ct, MaxAttempts: 1, PerAttemptTimeout: time.Hour},
-		HedgeDelay: time.Millisecond,
-		After: func(d time.Duration) <-chan time.Time {
-			ch := make(chan time.Time, 1)
-			ch <- time.Time{}
-			return ch
+// TestRouterCallerCancelReleasesSlot: when the caller's context dies
+// while a candidate is still answering, the router returns the
+// caller's error without failing over, and releases the candidate's
+// health slot without a verdict. With a threshold-1 breaker a failure
+// verdict would open the circuit, so the breaker must stay closed; in
+// half-open state the released probe slot must let the next request
+// probe and re-close the breaker.
+func TestRouterCallerCancelReleasesSlot(t *testing.T) {
+	clk := newFakeClock()
+	local := serve.New(serve.Config{TCoeff: 1})
+	tc := newTestCluster(t, RouterConfig{
+		Local: local,
+		Health: HealthConfig{
+			Breaker: client.BreakerConfig{Threshold: 1, Cooldown: 5 * time.Second},
+			Now:     clk.now,
 		},
+		Client: client.Config{Now: clk.now, PerAttemptTimeout: time.Hour},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := queryOwnedBy(t, r.Ring(), "http://peer1", 8)
-	// Replace the primary with a handler that hangs until cancelled.
-	ct.Revive("peer1", http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		<-req.Context().Done()
-	}))
+	const primary = "http://peer1"
+	q := queryOwnedBy(t, tc.router.Ring(), primary, 8)
 
-	before := runtime.NumGoroutine()
-	resp, err := r.Optimize(context.Background(), q)
-	if err != nil {
-		t.Fatalf("hedged Optimize: %v", err)
-	}
-	if resp.Explain == "" {
-		t.Fatal("invalid plan from hedged successor")
-	}
-	st := r.Stats()
-	if st.HedgedFallbacks != 1 || st.Failovers != 1 {
-		t.Fatalf("stats %+v, want one hedged fallback winning", st)
-	}
-	if st.Routes["http://peer1"] != 0 {
-		t.Fatal("the hanging primary was credited with the response")
-	}
-	// The loser was cancelled, not failed: its breaker stays closed.
-	if got := r.Health().State("http://peer1"); got != "closed" {
-		t.Fatalf("primary breaker %s after cancelled hedge loser", got)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before+2 {
-			break
+	// hangUntilCancelled makes the primary hold every request until the
+	// caller's context dies, then cancels that context once the request
+	// has arrived, and waits for the handler to observe the cancellation.
+	hangUntilCancelled := func() {
+		t.Helper()
+		arrived, done := make(chan struct{}), make(chan struct{})
+		tc.ct.Revive(hostOf(primary), http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+			close(arrived)
+			<-req.Context().Done()
+			close(done)
+		}))
+		ctx, cancel := context.WithCancel(context.Background())
+		go func() {
+			<-arrived
+			cancel()
+		}()
+		if _, err := tc.router.Optimize(ctx, q); !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
 		}
-		time.Sleep(10 * time.Millisecond)
+		<-done
 	}
-	if now := runtime.NumGoroutine(); now > before+2 {
-		t.Fatalf("goroutines leaked: %d before, %d after", before, now)
+
+	opsBefore := tc.ct.Ops()
+	hangUntilCancelled()
+	if got := tc.router.Health().State(primary); got != "closed" {
+		t.Fatalf("primary breaker %s after a cancelled request, want closed", got)
+	}
+	if n := tc.ct.Ops() - opsBefore; n != 1 {
+		t.Fatalf("%d transport ops, want 1: a dead caller must not fail over", n)
+	}
+	if st := tc.router.Stats(); st.Failovers != 0 || st.LocalFallbacks != 0 || st.Routes[primary] != 0 {
+		t.Fatalf("stats %+v after a cancelled request", st)
+	}
+
+	// Open the breaker, cool it down, and cancel the half-open probe.
+	tc.ct.Kill(hostOf(primary))
+	if _, err := tc.router.Optimize(context.Background(), q); err != nil {
+		t.Fatalf("failover: %v", err)
+	}
+	if got := tc.router.Health().State(primary); got != "open" {
+		t.Fatalf("primary breaker %s after a failure (threshold 1), want open", got)
+	}
+	clk.advance(5 * time.Second)
+	hangUntilCancelled()
+	if got := tc.router.Health().State(primary); got != "half-open" {
+		t.Fatalf("primary breaker %s after a cancelled probe, want half-open", got)
+	}
+
+	// The released slot lets the next request probe and re-close.
+	tc.ct.Revive(hostOf(primary), tc.servers[primary].Handler())
+	if _, err := tc.router.Optimize(context.Background(), q); err != nil {
+		t.Fatalf("probe after cancelled probe: %v", err)
+	}
+	if got := tc.router.Health().State(primary); got != "closed" {
+		t.Fatalf("primary breaker %s after a successful probe, want closed", got)
+	}
+	if st := tc.router.Stats(); st.Routes[primary] != 1 {
+		t.Fatalf("routes %v, want the probe served by %s", st.Routes, primary)
 	}
 }
 

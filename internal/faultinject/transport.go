@@ -16,12 +16,12 @@ import (
 // Retry-After, hang until the request context expires, or pass through
 // to the real transport. When the script is exhausted, requests pass
 // through. The consumed sequence is recorded, so a test can assert the
-// exact retry/hedge trajectory the client took.
+// exact retry trajectory the client took.
 //
 // Determinism note: with a sequential caller the outcome sequence is
-// exactly the script. Concurrent callers (hedged requests) consume
-// outcomes in scheduler order; tests that assert exact sequences keep
-// one request in flight at a time or script symmetric outcomes.
+// exactly the script. Concurrent callers consume outcomes in scheduler
+// order; tests that assert exact sequences keep one request in flight
+// at a time or script symmetric outcomes.
 
 // OutcomeKind classifies one scripted transport behavior.
 type OutcomeKind int

@@ -10,7 +10,7 @@ import (
 
 // The differential equivalence suite: the zero-alloc bitset/CSR
 // fingerprint path (fingerprint.go) against the frozen pre-rewrite
-// implementation (legacy.go). The rewrite's contract is byte-identical
+// implementation (legacy_test.go). The rewrite's contract is byte-identical
 // digests and identical canonical orders — cached plans and persisted
 // snapshots written before the rewrite must stay valid — so every
 // divergence here is a release blocker, not a flake.

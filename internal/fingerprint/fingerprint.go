@@ -27,7 +27,7 @@
 // flat half-edge CSR with all working state owned by a reusable Hasher
 // (pooled behind the package-level entry points). Steady state is zero
 // heap allocations per fingerprint; ALLOC_BUDGETS.json pins it. The
-// pre-rewrite implementation is frozen verbatim in legacy.go and the
+// pre-rewrite implementation is frozen verbatim in legacy_test.go and the
 // differential suite proves the two produce byte-identical digests.
 //
 // Everything is deterministic and label-free: no map iteration order,

@@ -239,18 +239,22 @@ func (c *Cache) shardOf(k Key) *shard {
 //ljqlint:hotpath
 func (c *Cache) Get(k Key) (*Entry, bool) {
 	s := c.shardOf(k)
+	// n.entry is read under the lock: insertLocked rewrites it in place
+	// on every refresh or tier upgrade.
+	var e *Entry
 	s.mu.Lock()
 	n, ok := s.items[k]
 	if ok {
 		s.moveFront(n)
+		e = n.entry
 	}
 	s.mu.Unlock()
 	if ok {
 		c.hits.Add(1)
 		if tr := c.trace; tr != nil {
-			tr.Emit(telemetry.EvCacheHit, n.entry.BudgetUsed, "")
+			tr.Emit(telemetry.EvCacheHit, e.BudgetUsed, "")
 		}
-		return n.entry, true
+		return e, true
 	}
 	c.misses.Add(1)
 	if tr := c.trace; tr != nil {
@@ -265,13 +269,14 @@ func (c *Cache) Get(k Key) (*Entry, bool) {
 // router's read-repair comparison, tests).
 func (c *Cache) Peek(k Key) (*Entry, bool) {
 	s := c.shardOf(k)
+	var e *Entry
 	s.mu.Lock()
 	n, ok := s.items[k]
-	s.mu.Unlock()
-	if !ok {
-		return nil, false
+	if ok {
+		e = n.entry
 	}
-	return n.entry, true
+	s.mu.Unlock()
+	return e, ok
 }
 
 // EvictWhere removes every cached entry whose key satisfies pred and
@@ -470,12 +475,13 @@ func (c *Cache) GetOrCompute(ctx context.Context, k Key, compute func(ctx contex
 	s.mu.Lock()
 	if n, ok := s.items[k]; ok {
 		s.moveFront(n)
+		e = n.entry
 		s.mu.Unlock()
 		c.hits.Add(1)
 		if tr := c.trace; tr != nil {
-			tr.Emit(telemetry.EvCacheHit, n.entry.BudgetUsed, "")
+			tr.Emit(telemetry.EvCacheHit, e.BudgetUsed, "")
 		}
-		return n.entry, true, false, nil
+		return e, true, false, nil
 	}
 	if fl, ok := s.flights[k]; ok {
 		s.mu.Unlock()

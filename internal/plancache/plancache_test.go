@@ -511,3 +511,81 @@ func TestWarmConcurrentWithLiveGets(t *testing.T) {
 		t.Fatalf("entries = %d, want %d", st.Entries, keys)
 	}
 }
+
+// TestHitPathConcurrentWithUpgrades: every hit path (Get, Peek and the
+// hit branch of GetOrCompute) must read a key's entry under the shard
+// lock, because insertLocked replaces it on every tier upgrade and
+// same-tier refresh. One writer cycles a single key through
+// evict → greedy insert → full-search upgrade → refresh while readers
+// hit it through all three paths. Run under -race in CI.
+func TestHitPathConcurrentWithUpgrades(t *testing.T) {
+	const rounds = 2000
+	c := New(Config{Capacity: 16, Shards: 1})
+	k := key(7)
+	c.Put(tierEntry(7, 1, TierGreedy))
+	check := func(path string, e *Entry) error {
+		if e == nil || e.Plan == nil || e.Fingerprint != k {
+			return fmt.Errorf("%s observed a torn entry: %+v", path, e)
+		}
+		if e.Tier != TierGreedy && e.Tier != TierFull {
+			return fmt.Errorf("%s observed tier %d", path, e.Tier)
+		}
+		return nil
+	}
+	stop := make(chan struct{})
+	errs := make(chan error, 3)
+	var wg sync.WaitGroup
+	readers := []func() error{
+		func() error {
+			if e, ok := c.Get(k); ok {
+				return check("Get", e)
+			}
+			return nil
+		},
+		func() error {
+			if e, ok := c.Peek(k); ok {
+				return check("Peek", e)
+			}
+			return nil
+		},
+		func() error {
+			e, _, _, err := c.GetOrCompute(context.Background(), k, func(context.Context) (*Entry, error) {
+				return tierEntry(7, 1, TierGreedy), nil
+			})
+			if err != nil {
+				return err
+			}
+			return check("GetOrCompute", e)
+		},
+	}
+	for _, read := range readers {
+		wg.Add(1)
+		go func(read func() error) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := read(); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(read)
+	}
+	for r := int64(0); r < rounds; r++ {
+		if r%4 == 0 {
+			c.EvictWhere(func(x Key) bool { return x == k })
+		}
+		c.Put(tierEntry(7, 10+r, TierGreedy)) // insert after eviction, else refresh or refused
+		c.Put(tierEntry(7, 5+r, TierFull))    // upgrade, or refresh of a full entry
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"joinopt/internal/catalog"
 	"joinopt/internal/core"
 	"joinopt/internal/cost"
+	"joinopt/internal/estimate"
 	"joinopt/internal/fingerprint"
 	"joinopt/internal/greedy"
 	"joinopt/internal/plan"
@@ -68,6 +69,7 @@ type tierOrchestrator struct {
 
 	// ratioH observes greedyCost/finalCost per completed upgrade — the
 	// serving-quality gap the fast path cost us while the upgrade ran.
+	// Both costs come from the upgrade's estimator (see repriced).
 	ratioH *telemetry.Histogram
 }
 
@@ -132,7 +134,7 @@ func (t *tierOrchestrator) compute(ctx context.Context, fp fingerprint.Fingerpri
 	if err == nil && !greedy.Escalate(res.TotalCost, t.threshold) {
 		pl := res.ToPlan()
 		t.tier1Served.Add(1)
-		t.scheduleUpgrade(fp, cq, pl.Order(), res.TotalCost)
+		t.scheduleUpgrade(fp, cq, pl)
 		return &plancache.Entry{Fingerprint: fp, Plan: pl, BudgetUsed: res.Work, Tier: plancache.TierGreedy}, nil
 	}
 	t.escalations.Add(1)
@@ -159,7 +161,7 @@ func (t *tierOrchestrator) greedyPlan(cq *catalog.Query) (res *greedy.Result, er
 
 // scheduleUpgrade queues a background Tier-2 upgrade for fp, deduping
 // against one already pending and bounding the backlog.
-func (t *tierOrchestrator) scheduleUpgrade(fp fingerprint.Fingerprint, cq *catalog.Query, incumbent plan.Perm, greedyCost float64) {
+func (t *tierOrchestrator) scheduleUpgrade(fp fingerprint.Fingerprint, cq *catalog.Query, greedyPlan *plan.Plan) {
 	t.mu.Lock()
 	if t.stopped {
 		t.mu.Unlock()
@@ -179,14 +181,14 @@ func (t *tierOrchestrator) scheduleUpgrade(fp fingerprint.Fingerprint, cq *catal
 	t.wg.Add(1)
 	t.mu.Unlock()
 	t.upStarted.Add(1)
-	go t.upgrade(fp, cq.Clone(), incumbent, greedyCost)
+	go t.upgrade(fp, cq.Clone(), greedyPlan)
 }
 
-// upgrade runs the full anytime search for fp and, if the result is
-// healthy, lands it in the cache; the plancache's upgrade-only
-// replacement makes the insert safe against the still-finishing greedy
-// flight.
-func (t *tierOrchestrator) upgrade(fp fingerprint.Fingerprint, cq *catalog.Query, incumbent plan.Perm, greedyCost float64) {
+// upgrade runs the full anytime search for fp, warm-started from the
+// greedy plan's order, and, if the result is healthy, lands it in the
+// cache; the plancache's upgrade-only replacement makes the insert safe
+// against the still-finishing greedy flight.
+func (t *tierOrchestrator) upgrade(fp fingerprint.Fingerprint, cq *catalog.Query, greedyPlan *plan.Plan) {
 	defer t.wg.Done()
 	defer func() {
 		t.mu.Lock()
@@ -215,7 +217,7 @@ func (t *tierOrchestrator) upgrade(fp fingerprint.Fingerprint, cq *catalog.Query
 		n = 1
 	}
 	budget := cost.NewBudget(cost.UnitsFor(cfg.UpgradeTCoeff, n))
-	opt, err := core.NewOptimizer(cq, cfg.Model, budget, rand.New(rand.NewSource(cfg.Seed)), core.Options{Incumbent: incumbent})
+	opt, err := core.NewOptimizer(cq, cfg.Model, budget, rand.New(rand.NewSource(cfg.Seed)), core.Options{Incumbent: greedyPlan.Order()})
 	if err != nil {
 		t.upFailed.Add(1)
 		return
@@ -229,9 +231,27 @@ func (t *tierOrchestrator) upgrade(fp fingerprint.Fingerprint, cq *catalog.Query
 	}
 	t.srv.cache.Put(&plancache.Entry{Fingerprint: fp, Plan: pl, BudgetUsed: budget.Used(), Tier: plancache.TierFull})
 	t.upDone.Add(1)
-	if t.ratioH != nil && !math.IsInf(greedyCost, 0) && !math.IsNaN(greedyCost) && pl.TotalCost > 0 {
-		t.ratioH.Observe(greedyCost / pl.TotalCost)
+	if t.ratioH != nil && pl.TotalCost > 0 {
+		greedyCost := repriced(opt.Evaluator().Stats(), cfg.Model, greedyPlan)
+		if !math.IsInf(greedyCost, 0) && !math.IsNaN(greedyCost) {
+			t.ratioH.Observe(greedyCost / pl.TotalCost)
+		}
 	}
+}
+
+// repriced prices pl's component orders under stats and model with an
+// unlimited budget, assembled the way the optimizer assembles its own
+// plans. The greedy planner's TotalCost uses static selectivities; the
+// tier-2 cost uses the upgrade's estimator, so the cost ratio re-prices
+// the greedy order under that estimator to compare like with like.
+// Observation only: the served plans and BudgetUsed do not change.
+func repriced(stats *estimate.Stats, model cost.Model, pl *plan.Plan) float64 {
+	ev := plan.NewEvaluator(stats, model, cost.Unlimited())
+	comps := make([]plan.Result, len(pl.Components))
+	for i, c := range pl.Components {
+		comps[i] = plan.Result{Perm: c.Perm, Cost: ev.Cost(c.Perm)}
+	}
+	return plan.Assemble(ev, comps).TotalCost
 }
 
 // stop refuses new upgrades, cancels running ones, and waits for the

@@ -2,12 +2,15 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math/rand"
 	"net/http"
 	"testing"
 
+	"joinopt/internal/core"
 	"joinopt/internal/plancache"
+	"joinopt/internal/telemetry"
 	"joinopt/internal/workload"
 )
 
@@ -201,4 +204,38 @@ func statusz(t *testing.T, base string) StatusResponse {
 		t.Fatal(err)
 	}
 	return st
+}
+
+// TestTierCostRatioNeverBelowOne: ljq_tier_cost_ratio divides the
+// greedy plan's cost by the upgraded plan's cost, both priced by the
+// upgrade's estimator. The upgrade is warm-started from the greedy
+// order and keeps the best plan it saw, so it is never worse than its
+// incumbent: every observed ratio is ≥ 1 (up to float summation order).
+// Upgrades run one at a time, so each one's ratio is the histogram
+// sum's delta.
+func TestTierCostRatioNeverBelowOne(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	s := New(Config{Tiered: true, Metrics: reg, Method: core.IAI, TCoeff: 9})
+	h := s.tiers.ratioH
+	observed := 0
+	for n := 10; n <= 50; n += 5 {
+		for seed := int64(1); seed <= 20; seed++ {
+			q := workload.Default().Generate(n, rand.New(rand.NewSource(seed*1000+int64(n))))
+			count, sum := h.Count(), h.Sum()
+			if _, err := s.OptimizeQuery(context.Background(), q); err != nil {
+				t.Fatal(err)
+			}
+			s.WaitUpgrades()
+			if h.Count() == count {
+				continue // escalated miss or repeated shape: no upgrade ran
+			}
+			observed++
+			if ratio := h.Sum() - sum; ratio < 1-1e-9 {
+				t.Errorf("n=%d seed=%d: cost ratio %.12g < 1: the upgrade looks worse than its greedy incumbent", n, seed, ratio)
+			}
+		}
+	}
+	if observed < 150 {
+		t.Fatalf("only %d upgrades observed, want at least 150", observed)
+	}
 }
