@@ -45,7 +45,7 @@ type Budget struct {
 	MaxAllocsPerOp int64 `json:"max_allocs_per_op"`
 	// MeasuredAllocsPerOp records the honest measurement the ceiling
 	// was derived from (documentation only).
-	MeasuredAllocsPerOp int64 `json:"measured_allocs_per_op"`
+	MeasuredAllocsPerOp int64  `json:"measured_allocs_per_op"`
 	Note                string `json:"note,omitempty"`
 }
 

@@ -18,7 +18,8 @@
 // `if !b.Allow() { return }` guard claims only on the fallthrough
 // edge, a bool variable bound to the Allow result is tracked through
 // branches, and `return b.Allow()` transfers the obligation to the
-// caller (which is how wrapper methods like Health.Allow stay clean).
+// caller (which is how a wrapper such as a per-peer view's Allow stays
+// clean).
 // Deferred resolution calls count on every exit path. One level of
 // interprocedural transfer: calling a same-package function whose body
 // resolves slots (e.g. a loser-reaping helper) is treated as resolving

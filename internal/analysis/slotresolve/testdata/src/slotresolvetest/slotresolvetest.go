@@ -15,12 +15,13 @@ func (b *Breaker) Success()    {}
 func (b *Breaker) Failure()    {}
 func (b *Breaker) Cancel()     {}
 
-// Health mimics internal/cluster's per-peer breaker view.
+// Health is a per-peer breaker view: Allow claims, the Report* forms
+// resolve.
 type Health struct{}
 
-func (h *Health) Allow(peer string) bool     { return peer != "" }
-func (h *Health) ReportSuccess(peer string)  {}
-func (h *Health) ReportFailure(peer string)  {}
+func (h *Health) Allow(peer string) bool      { return peer != "" }
+func (h *Health) ReportSuccess(peer string)   {}
+func (h *Health) ReportFailure(peer string)   {}
 func (h *Health) ReportCancelled(peer string) {}
 
 // leakOnEarlyReturn drops the slot on the error return path.

@@ -48,8 +48,9 @@ var meteredPackages = []string{
 //     scope avoids self-referential directive noise) — floatsafe and
 //     ctxflow do include internal/analysis.
 //   - slotresolve: the packages that speak the breaker slot protocol —
-//     the resilient client (breaker state machine), the cluster router
-//     and health view, and serve (which owns the daemon wiring).
+//     the resilient client (breaker state machine), the cluster
+//     rebalancer's per-destination push breakers, and serve (which owns
+//     the daemon wiring).
 //   - errsink: the durability paths — vfs, persist and serve (which
 //     flushes snapshots on drain). cluster is out of scope: its one
 //     Close is an http response body on a best-effort warm-start path.

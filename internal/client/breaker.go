@@ -174,7 +174,8 @@ func (b *breaker) currentState() breakerState {
 
 // Breaker is the exported half-open circuit breaker: the same state
 // machine the Client runs per daemon, reusable as a standalone
-// component (internal/cluster keeps one per peer for its health view).
+// component (internal/cluster's Rebalancer keeps one per push
+// destination).
 //
 // Contract: every Allow() == true must be followed by exactly one
 // Success() or Failure() — in the half-open state, Allow grants the

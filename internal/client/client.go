@@ -39,7 +39,6 @@ import (
 	"joinopt/internal/catalog"
 	"joinopt/internal/qfile"
 	"joinopt/internal/serve"
-	"joinopt/internal/telemetry"
 	"joinopt/internal/wire"
 )
 
@@ -66,11 +65,8 @@ func (e *APIError) Error() string {
 
 // ShedError is a load-shedding answer — 503 or 429 — with its
 // Retry-After hint consumed. It is retryable: the daemon is alive and
-// refusing work, the opposite of dead. Under the default config the
-// client retries it in-line (sleeping at least RetryAfter); with
-// Config.ShedFailFast it surfaces immediately so a caller with its own
-// failover (the cluster router) can try another peer instead of
-// blocking on this one's backlog.
+// refusing work, the opposite of dead. The client retries it in-line,
+// sleeping at least RetryAfter.
 type ShedError struct {
 	StatusCode int
 	RetryAfter time.Duration // server's hint, 0 if absent/unparseable
@@ -107,14 +103,6 @@ type Config struct {
 	// honored (default 30s): a confused server must not park the
 	// client for an hour.
 	RetryAfterCap time.Duration
-	// ShedFailFast makes a load-shedding answer (503/429 — a *ShedError)
-	// return immediately instead of being retried in-line with a
-	// Retry-After sleep. For callers that own a failover ladder (the
-	// cluster router): the right response to one peer shedding is to ask
-	// a different peer NOW, not to camp on the shedding peer's queue.
-	// The breaker records shed answers as successes — a shedding daemon
-	// is alive, and opening its circuit would misread load as death.
-	ShedFailFast bool
 	// Wire selects the binary wire protocol (internal/wire) for
 	// Optimize: the query ships as a length-prefixed binary frame and
 	// the response is requested in the same codec via Accept. Against a
@@ -189,8 +177,8 @@ type Client struct {
 	cfg     Config
 	breaker *breaker
 
-	// Resilience counters, exported via Stats and RegisterMetrics: how
-	// much work the failure-handling machinery is actually doing.
+	// Resilience counter, exported via Stats: how much work the
+	// failure-handling machinery is actually doing.
 	retries atomic.Uint64 // extra attempts beyond the first, per call
 
 	mu  sync.Mutex
@@ -227,19 +215,6 @@ func (c *Client) Stats() Stats {
 		BreakerTransitions: c.breaker.transitions.Load(),
 		BreakerState:       c.BreakerState(),
 	}
-}
-
-// RegisterMetrics exports the resilience counters into reg under the
-// given metric-name prefix, optionally tagged with a literal label
-// suffix (pass labels like `{peer="http://host:8080"}`, or "" for
-// none). The cluster router registers one client per peer this way, so
-// /metrics breaks retries and breaker churn down by peer.
-func (c *Client) RegisterMetrics(reg *telemetry.Registry, prefix, labels string) {
-	if reg == nil {
-		return
-	}
-	reg.CounterFunc(prefix+"_retries_total"+labels, "Retry attempts beyond each call's first try.", c.retries.Load)
-	reg.CounterFunc(prefix+"_breaker_transitions_total"+labels, "Circuit-breaker state transitions.", c.breaker.transitions.Load)
 }
 
 // Optimize sends q to POST /optimize with the full resilience stack
@@ -321,14 +296,7 @@ func (c *Client) Status(ctx context.Context) (*serve.StatusResponse, error) {
 	return &st, nil
 }
 
-// Ready probes GET /readyz; nil means the daemon is accepting work
-// (recovery finished, limiter not shedding). Single attempt.
-func (c *Client) Ready(ctx context.Context) error {
-	_, err := c.once(ctx, http.MethodGet, "/readyz")
-	return err
-}
-
-// once performs a single unretried attempt (health/status probes).
+// once performs a single unretried attempt (status probes).
 func (c *Client) once(ctx context.Context, method, path string) ([]byte, error) {
 	out := c.attempt(ctx, method, path, "", "", nil)
 	if out.err != nil {
@@ -362,16 +330,6 @@ func (c *Client) call(ctx context.Context, method, path, contentType, accept str
 		if out.err == nil {
 			c.breaker.success()
 			return out.body, nil
-		}
-		if c.cfg.ShedFailFast {
-			var shed *ShedError
-			if errors.As(out.err, &shed) {
-				// The daemon answered — alive, just refusing work. Hand
-				// the verdict to the caller's own failover immediately;
-				// no in-line Retry-After sleep, no breaker strike.
-				c.breaker.success()
-				return nil, out.err
-			}
 		}
 		if !out.retryable {
 			// A 4xx proves the daemon is alive and judging requests:

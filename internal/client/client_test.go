@@ -14,7 +14,6 @@ import (
 
 	"joinopt/internal/faultinject"
 	"joinopt/internal/serve"
-	"joinopt/internal/telemetry"
 )
 
 // roundTripperFunc adapts a function to http.RoundTripper (the inner
@@ -373,15 +372,15 @@ func TestBreakerDisabled(t *testing.T) {
 	}
 }
 
-func TestStatusAndReadyProbesSingleAttempt(t *testing.T) {
-	// Probes report the world as-is: a 503 /readyz is an error, not a
+func TestStatusProbeSingleAttempt(t *testing.T) {
+	// Probes report the world as-is: a 503 /statusz is an error, not a
 	// retry loop.
 	ft := faultinject.NewFlakyTransport(nil,
 		faultinject.Outcome{Kind: faultinject.Unavailable, RetryAfter: 1},
 	)
 	c := newTestClient(t, Config{Transport: ft, Sleep: (&sleepRecorder{}).sleep})
-	if err := c.Ready(context.Background()); err == nil {
-		t.Fatal("Ready over 503 = nil, want error")
+	if _, err := c.Status(context.Background()); err == nil {
+		t.Fatal("Status over 503 = nil, want error")
 	}
 	if ft.Requests() != 1 {
 		t.Fatalf("probe made %d requests, want 1", ft.Requests())
@@ -401,7 +400,7 @@ func TestStatusAndReadyProbesSingleAttempt(t *testing.T) {
 	}
 }
 
-func TestResilienceCountersAndMetrics(t *testing.T) {
+func TestResilienceCounters(t *testing.T) {
 	ft := faultinject.NewFlakyTransport(okInner(t),
 		faultinject.Outcome{Kind: faultinject.Drop},
 		faultinject.Outcome{Kind: faultinject.Drop},
@@ -415,24 +414,8 @@ func TestResilienceCountersAndMetrics(t *testing.T) {
 	if st.Retries != 2 {
 		t.Fatalf("retries = %d, want 2 (two drops before the pass)", st.Retries)
 	}
-	if st.BreakerState != "closed" {
-		t.Fatalf("breaker state %q, want closed", st.BreakerState)
-	}
-
-	reg := telemetry.NewRegistry()
-	c.RegisterMetrics(reg, "ljq_client", `{peer="p0"}`)
-	var buf strings.Builder
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		`ljq_client_retries_total{peer="p0"} 2`,
-		`ljq_client_breaker_transitions_total{peer="p0"} 0`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("metrics output missing %q:\n%s", want, out)
-		}
+	if st.BreakerState != "closed" || st.BreakerTransitions != 0 {
+		t.Fatalf("breaker %q after %d transitions, want closed after 0", st.BreakerState, st.BreakerTransitions)
 	}
 }
 
@@ -557,61 +540,8 @@ func TestCallerCtxDeathReleasesHalfOpenProbeSlot(t *testing.T) {
 	}
 }
 
-// TestShedFailFastReturnsImmediately: with ShedFailFast set, a 429/503
-// answer comes straight back as a *ShedError — no Retry-After sleep,
-// no retry burn-down, and no breaker strike (the daemon answered; it
-// is alive, just refusing work). This is the mode the cluster router
-// runs its per-peer clients in: failover across peers beats waiting on
-// one.
-func TestShedFailFastReturnsImmediately(t *testing.T) {
-	for _, code := range []int{http.StatusTooManyRequests, http.StatusServiceUnavailable} {
-		inner := roundTripperFunc(func(r *http.Request) (*http.Response, error) {
-			if r.Body != nil {
-				_, _ = io.Copy(io.Discard, r.Body)
-				_ = r.Body.Close()
-			}
-			h := make(http.Header)
-			h.Set("Retry-After", "30")
-			return &http.Response{
-				StatusCode: code,
-				Header:     h,
-				Body:       io.NopCloser(strings.NewReader("busy")),
-				Request:    r,
-			}, nil
-		})
-		rec := &sleepRecorder{}
-		c := newTestClient(t, Config{
-			Transport:    inner,
-			MaxAttempts:  5,
-			ShedFailFast: true,
-			Sleep:        rec.sleep,
-			Breaker:      BreakerConfig{Threshold: 2},
-		})
-		for i := 0; i < 6; i++ { // 3x the breaker threshold
-			_, err := c.OptimizeDSL(context.Background(), "R(10) S(20) R.x=S.y 0.1")
-			var shed *ShedError
-			if !errors.As(err, &shed) {
-				t.Fatalf("%d/%d: err = %v, want *ShedError", code, i, err)
-			}
-			if shed.StatusCode != code || shed.RetryAfter != 30*time.Second {
-				t.Fatalf("%d: shed = %+v", code, shed)
-			}
-		}
-		if got := rec.all(); len(got) != 0 {
-			t.Fatalf("%d: client slept %v despite ShedFailFast", code, got)
-		}
-		st := c.Stats()
-		if st.Retries != 0 {
-			t.Fatalf("%d: retries = %d, want 0", code, st.Retries)
-		}
-		if got := c.BreakerState(); got != "closed" {
-			t.Fatalf("%d: breaker %q after sheds, want closed", code, got)
-		}
-	}
-}
-
-// TestShedDefaultStillRetries pins the default (ShedFailFast unset):
-// shed answers remain retryable-with-backoff, honoring Retry-After.
+// TestShedDefaultStillRetries: shed answers (429 here) are retried
+// with backoff, honoring Retry-After.
 func TestShedDefaultStillRetries(t *testing.T) {
 	calls := 0
 	inner := roundTripperFunc(func(r *http.Request) (*http.Response, error) {
@@ -650,5 +580,65 @@ func TestShedDefaultStillRetries(t *testing.T) {
 		if d != 7*time.Second {
 			t.Fatalf("delay %v, want the 7s Retry-After hint", d)
 		}
+	}
+}
+
+// TestBreakerTripsAndRecovers drives the exported standalone Breaker
+// (the one internal/cluster's Rebalancer keeps per push destination)
+// through its whole cycle: consecutive failures open it, the cooldown
+// admits exactly one probe, and the probe's success closes it again.
+func TestBreakerTripsAndRecovers(t *testing.T) {
+	clock := &fakeClock{t: time.Unix(1_700_000_000, 0)}
+	b := NewBreaker(BreakerConfig{Threshold: 2, Cooldown: 5 * time.Second}, clock.now)
+	if !b.Allow() {
+		t.Fatal("fresh breaker refused")
+	}
+	b.Success()
+	for i := 0; i < 2; i++ {
+		if !b.Allow() {
+			t.Fatalf("failure %d: closed breaker refused", i)
+		}
+		b.Failure()
+	}
+	if b.Allow() || b.State() != "open" {
+		t.Fatalf("breaker %s after two failures admitted a request", b.State())
+	}
+	clock.advance(5 * time.Second)
+	if !b.Allow() {
+		t.Fatal("cooled-down breaker refused the probe")
+	}
+	if b.Allow() {
+		t.Fatal("second request admitted while the probe is in flight")
+	}
+	b.Success()
+	if b.State() != "closed" || b.Transitions() != 3 {
+		t.Fatalf("breaker %s after %d transitions, want closed after 3", b.State(), b.Transitions())
+	}
+}
+
+// TestBreakerCancelReleasesProbeSlot: abandoning a claimed half-open
+// slot with Cancel frees the probe for the next request instead of
+// parking the breaker half-open forever, and records no verdict.
+func TestBreakerCancelReleasesProbeSlot(t *testing.T) {
+	clock := &fakeClock{t: time.Unix(1_700_000_000, 0)}
+	b := NewBreaker(BreakerConfig{Threshold: 1, Cooldown: time.Second}, clock.now)
+	if !b.Allow() {
+		t.Fatal("fresh breaker refused")
+	}
+	b.Failure() // opens (threshold 1)
+	clock.advance(time.Second)
+	if !b.Allow() {
+		t.Fatal("probe refused")
+	}
+	b.Cancel() // abandoned request: no verdict
+	if b.State() != "half-open" {
+		t.Fatalf("cancel changed state to %s", b.State())
+	}
+	if !b.Allow() {
+		t.Fatal("released probe slot not reusable")
+	}
+	b.Success()
+	if b.State() != "closed" {
+		t.Fatalf("state %s after probe success", b.State())
 	}
 }

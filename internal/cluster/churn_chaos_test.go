@@ -3,19 +3,20 @@ package cluster
 // churn_chaos_test.go is the dynamic-membership acceptance test: the
 // ring itself changes while scripted traffic flows — a peer joins, an
 // arc moves under a weight bump (with the destination killed mid-arc-
-// push), a peer leaves — and the cluster must hold the anytime contract
-// throughout: every request a valid plan, zero surfaced errors,
-// byte-identical same-seed trajectory and response logs, a joined peer
-// serving pushed arcs without a cold miss, and epoch changes evicting
-// exactly the arcs each peer no longer owns.
+// push), a peer leaves. Each request goes straight to its owner under
+// the current epoch; no peer forwards. The cluster must keep every
+// arc somewhere: a torn push keeps its entries on the old owner, the
+// retried push is acked and only then evicted, a joined peer serves
+// pushed arcs without a cold miss, epoch changes evict exactly the
+// arcs each peer no longer owns, and same-seed runs reproduce the
+// trajectory, rebalance and response logs byte for byte.
 //
 // Interleaving note: a scripted action fires when its op index is
-// claimed, BEFORE that request dispatches — but the router picked the
-// claiming request's candidates from the epoch loaded at Optimize
-// start. The request at an action's op therefore routes under the OLD
-// epoch (the "in-flight requests finish on their starting epoch"
-// invariant). The script exploits this by having every membership
-// action claimed by qd, the control shape whose owner never changes.
+// claimed, BEFORE that request dispatches — but the claiming request's
+// owner was picked from the epoch current when it was sent. The
+// request at an action's op therefore goes to its OLD owner. The
+// script has every membership action claimed by qd, the control shape
+// whose owner never changes.
 
 import (
 	"context"
@@ -30,9 +31,9 @@ import (
 	"time"
 
 	"joinopt/internal/catalog"
-	"joinopt/internal/client"
 	"joinopt/internal/faultinject"
 	"joinopt/internal/fingerprint"
+	"joinopt/internal/plancache"
 	"joinopt/internal/serve"
 	"joinopt/internal/workload"
 )
@@ -64,7 +65,7 @@ func mustFP(q *catalog.Query) fingerprint.Fingerprint {
 type churnWorld struct {
 	t           *testing.T
 	ct          *faultinject.ClusterTransport
-	router      *Router
+	epoch       *Epoch                   // the epoch requests are sent under
 	servers     map[string]*serve.Server // by base URL
 	rebalancers map[string]*Rebalancer   // by base URL
 	roster      []Member
@@ -91,7 +92,7 @@ func (w *churnWorld) newRebalancer(url string) *Rebalancer {
 // applyAll mints the next epoch from the roster and applies it across
 // the world: the leaver (if any) hands off first, then the remaining
 // serving nodes in sorted URL order, then the joiner (if any)
-// bootstraps, and finally the router swaps rings.
+// bootstraps, and finally requests move to the new ring.
 func (w *churnWorld) applyAll(ctx context.Context, leaver, joiner string) {
 	w.seq++
 	e, err := NewEpoch(w.seq, w.roster, 0)
@@ -125,9 +126,7 @@ func (w *churnWorld) applyAll(ctx context.Context, leaver, joiner string) {
 	if leaver != "" {
 		delete(w.rebalancers, leaver)
 	}
-	if err := w.router.ApplyEpoch(e); err != nil {
-		w.t.Fatal(err)
-	}
+	w.epoch = e
 }
 
 // handleMembership is the transport's membership hook: scripted
@@ -174,7 +173,7 @@ type churnRun struct {
 	trajectory string
 	responses  []byte
 	rebalLog   string
-	stats      []byte // JSON-marshaled RouterStats
+	stats      []byte // JSON-marshaled cache stats, by sorted URL
 	world      *churnWorld
 	final      *Epoch
 }
@@ -209,9 +208,8 @@ func runChurnScript(t *testing.T) *churnRun {
 	// arc on p3 stays on p3 as p3's weight grows):
 	//   qa: p0-owned, moves to p3 at the join            (push at join)
 	//   qb: p1-owned through e3, reassigned at the leave (push at leave)
-	//   qc: p2-owned until the w4 bump moves it to p3; its e2 failover
-	//       successor is p2 itself, so while p3 is down after the torn
-	//       push the OLD owner serves it warm (stale beats gone)
+	//   qc: p2-owned until the w4 bump moves it to p3; the push tears,
+	//       so p2 keeps it until the w5 bump's retried push is acked
 	//   qd: p0-owned under every epoch — the control shape that claims
 	//       every membership action's op
 	qa := findQuery(t, 7, func(fp fingerprint.Fingerprint) bool {
@@ -221,11 +219,7 @@ func runChurnScript(t *testing.T) *churnRun {
 		return e0.Ring().Primary(fp) == "http://peer1" && e3.Ring().Primary(fp) == "http://peer1"
 	})
 	qc := findQuery(t, 9, func(fp fingerprint.Fingerprint) bool {
-		if e1.Ring().Primary(fp) != "http://peer2" || e2.Ring().Primary(fp) != "http://peer3" {
-			return false
-		}
-		succ := e2.Ring().Successors(fp, 2)
-		return len(succ) == 2 && succ[1] == "http://peer2"
+		return e1.Ring().Primary(fp) == "http://peer2" && e2.Ring().Primary(fp) == "http://peer3"
 	})
 	qd := findQuery(t, 7, func(fp fingerprint.Fingerprint) bool {
 		for _, e := range []*Epoch{e0, e1, e2, e3, e4} {
@@ -271,44 +265,31 @@ func runChurnScript(t *testing.T) *churnRun {
 	//             handler DID run, so p3 warmed qc) and the retries
 	//             find p3 dead (ops 11-12) — push fails, qc stays on
 	//             p2; the op-9 request (qd) proceeds on p0
-	//   op 13     qc routes to its e2 owner p3, finds it down, and
-	//             fails over (op 14) to successor p2 — warm
-	//   op 15     RestartPeer p3 (cache intact); the op-15 request
-	//             (qb) proceeds on p1
-	//   op 16     MoveArc p3*5 → e3; p2 retries qc to p3 (op 17),
-	//             acked this time, and evicts it; op-16 request = qd
-	//   op 18     qc hits p3 warm — the torn push already warmed it,
+	//             (the old owner p2 still holds qc: checked by Peek)
+	//   op 13     RestartPeer p3 (cache intact); the op-13 request
+	//             (qb) goes to p1
+	//   op 14     MoveArc p3*5 → e3; p2 retries qc to p3 (op 15),
+	//             acked this time, and evicts it; op-14 request = qd
+	//   op 16     qc hits p3 warm — the torn push already warmed it,
 	//             and the acked retry was an idempotent refresh
-	//   op 19     RemovePeer p1 → e4; p1 pushes qb to its new owner
-	//             (op 20), evicts it, then dies; op-19 request = qd
-	//   op 21     qb hits its new owner warm
-	//   ops 22-24 final sweep qa qc qd — all warm
+	//   op 17     RemovePeer p1 → e4; p1 pushes qb to its new owner
+	//             (op 18), evicts it, then dies; op-17 request = qd
+	//   op 19     qb hits its new owner warm
+	//   ops 20-22 final sweep qa qc qd — all warm
 	world.ct = faultinject.NewClusterTransport(handlers, restart,
 		faultinject.PeerAction{AtOp: 4, Kind: faultinject.AddPeer, Peer: "peer3", Weight: 1},
 		faultinject.PeerAction{AtOp: 9, Kind: faultinject.KillMidResponse, Peer: "peer3", AfterBytes: 150},
 		faultinject.PeerAction{AtOp: 9, Kind: faultinject.MoveArc, Peer: "peer3", Weight: 4},
-		faultinject.PeerAction{AtOp: 15, Kind: faultinject.RestartPeer, Peer: "peer3"},
-		faultinject.PeerAction{AtOp: 16, Kind: faultinject.MoveArc, Peer: "peer3", Weight: 5},
-		faultinject.PeerAction{AtOp: 19, Kind: faultinject.RemovePeer, Peer: "peer1"},
+		faultinject.PeerAction{AtOp: 13, Kind: faultinject.RestartPeer, Peer: "peer3"},
+		faultinject.PeerAction{AtOp: 14, Kind: faultinject.MoveArc, Peer: "peer3", Weight: 5},
+		faultinject.PeerAction{AtOp: 17, Kind: faultinject.RemovePeer, Peer: "peer1"},
 	)
 	world.ct.SetMembershipHook(world.handleMembership)
 
-	local := serve.New(serve.Config{TCoeff: 1, Seed: 1})
-	router, err := NewRouter(RouterConfig{
-		Peers: peers,
-		Local: local,
-		// Deterministic mode, as in the static chaos test: sequential
-		// failover, no circuit state, single attempt per peer.
-		Health: HealthConfig{Breaker: client.BreakerConfig{Threshold: -1}},
-		Client: client.Config{Transport: world.ct, MaxAttempts: 1, PerAttemptTimeout: time.Minute},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	world.router = router
+	world.epoch = e0
 	for _, p := range peers {
 		world.rebalancers[p] = world.newRebalancer(p)
-		if _, err := world.rebalancers[p].Apply(context.Background(), router.Epoch()); err != nil {
+		if _, err := world.rebalancers[p].Apply(context.Background(), e0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -318,9 +299,9 @@ func runChurnScript(t *testing.T) *churnRun {
 	ctx := context.Background()
 	do := func(name string, wantHit bool) {
 		t.Helper()
-		resp, err := router.Optimize(ctx, shapes[name])
+		resp, owner, err := optimizeAtOwner(ctx, world.ct, world.epoch, shapes[name])
 		if err != nil {
-			t.Fatalf("shape %s at op %d: surfaced error %v", name, world.ct.Ops(), err)
+			t.Fatalf("shape %s on %s at op %d: %v", name, owner, world.ct.Ops(), err)
 		}
 		if resp.Explain == "" || len(resp.Order) == 0 || resp.Fingerprint == "" || resp.Degraded {
 			t.Fatalf("shape %s at op %d: invalid plan %+v", name, world.ct.Ops(), resp)
@@ -344,13 +325,21 @@ func runChurnScript(t *testing.T) *churnRun {
 	do("qb", true) // op 7
 	do("qc", true) // op 8
 	do("qd", true) // op 9: claims the torn-push weight bump (ops 10-12)
-	do("qc", true) // op 13: p3 down → failover (op 14) to warm old owner
-	do("qb", true) // op 15: claims p3's restart
-	do("qd", true) // op 16: claims the w5 bump; qc push retried (op 17)
-	do("qc", true) // op 18: p3 serves qc warm — no cold miss anywhere
-	do("qd", true) // op 19: claims the leave; qb handed off (op 20)
-	do("qb", true) // op 21: qb's new owner serves it warm
-	do("qa", true) // ops 22-24: final sweep, every shape warm
+	// The torn push kept qc on its old owner: stale beats gone.
+	p2 := world.servers["http://peer2"].Cache()
+	if _, ok := p2.Peek(mustFP(qc)); !ok {
+		t.Fatal("old owner peer2 dropped qc although its push tore")
+	}
+	do("qb", true) // op 13: claims p3's restart
+	do("qd", true) // op 14: claims the w5 bump; qc push retried (op 15)
+	// The retried push was acked, and only then did peer2 evict qc.
+	if _, ok := p2.Peek(mustFP(qc)); ok {
+		t.Fatal("peer2 still holds qc after the acked retry")
+	}
+	do("qc", true) // op 16: p3 serves qc warm — no cold miss anywhere
+	do("qd", true) // op 17: claims the leave; qb handed off (op 18)
+	do("qb", true) // op 19: qb's new owner serves it warm
+	do("qa", true) // ops 20-22: final sweep, every shape warm
 	do("qc", true)
 	do("qd", true)
 
@@ -366,7 +355,16 @@ func runChurnScript(t *testing.T) *churnRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := json.Marshal(router.Stats())
+	urls := make([]string, 0, len(world.servers))
+	for url := range world.servers {
+		urls = append(urls, url)
+	}
+	sort.Strings(urls)
+	var cacheStats []plancache.Stats
+	for _, url := range urls {
+		cacheStats = append(cacheStats, world.servers[url].Cache().Stats())
+	}
+	stats, err := json.Marshal(cacheStats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +374,7 @@ func runChurnScript(t *testing.T) *churnRun {
 		rebalLog:   strings.Join(world.rebalLog, "\n"),
 		stats:      stats,
 		world:      world,
-		final:      router.Epoch(),
+		final:      world.epoch,
 	}
 }
 
@@ -387,18 +385,15 @@ func TestMembershipChurnChaos(t *testing.T) {
 
 	first := runChurnScript(t)
 
-	// The run exercised every membership path with the expected router
-	// counters: epochs 0-4 applied, exactly one failover (the torn-push
-	// window), and the ring never exhausted down to the local rung.
-	st := first.world.router.Stats()
-	if st.Epoch != 4 || st.EpochApplies != 5 {
-		t.Fatalf("stats %+v, want epochs 0-4 applied", st)
+	// The run walked the whole epoch chain: every surviving node
+	// applied epoch 4.
+	if first.final.Seq != 4 {
+		t.Fatalf("final epoch %s, want epoch 4", first.final)
 	}
-	if st.LocalFallbacks != 0 {
-		t.Fatalf("localFallbacks = %d: membership churn must never exhaust the ring", st.LocalFallbacks)
-	}
-	if st.Failovers != 1 {
-		t.Fatalf("failovers = %d, want exactly the torn-push window's one", st.Failovers)
+	for url, rb := range first.world.rebalancers {
+		if got := rb.Epoch(); got == nil || got.Seq != 4 {
+			t.Fatalf("%s rebalancer on epoch %v, want 4", url, got)
+		}
 	}
 
 	tr := first.trajectory
@@ -409,7 +404,6 @@ func TestMembershipChurnChaos(t *testing.T) {
 		"POST peer3/snapshot/arc -> torn@", // destination died mid-arc-push
 		"POST peer3/snapshot/arc -> down",  // the bounded retries found it dead
 		"!move-arc peer3 weight=4",
-		"POST peer3/optimize -> down", // the failover window
 		"!restart peer3",
 		"!move-arc peer3 weight=5",
 		"POST peer3/snapshot/arc -> 200", // the join push and the acked retry
@@ -476,8 +470,8 @@ func TestMembershipChurnChaos(t *testing.T) {
 	}
 
 	// Determinism: a second same-seed run reproduces the trajectory,
-	// the rebalance log, the router counters, and every response byte
-	// for byte.
+	// the rebalance log, every cache's counters, and every response
+	// byte for byte.
 	second := runChurnScript(t)
 	if first.trajectory != second.trajectory {
 		t.Fatalf("same-seed trajectories differ:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", first.trajectory, second.trajectory)
@@ -489,7 +483,7 @@ func TestMembershipChurnChaos(t *testing.T) {
 		t.Fatalf("same-seed rebalance logs differ:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", first.rebalLog, second.rebalLog)
 	}
 	if string(first.stats) != string(second.stats) {
-		t.Fatalf("same-seed router stats differ:\n%s\nvs\n%s", first.stats, second.stats)
+		t.Fatalf("same-seed cache stats differ:\n%s\nvs\n%s", first.stats, second.stats)
 	}
 
 	// No goroutines may survive the churn.

@@ -14,12 +14,9 @@ import (
 // Dynamic membership: the ring stops being a boot-time constant and
 // becomes a sequence of *epochs* — immutable (member set, ring)
 // snapshots tagged with a monotonically increasing sequence number.
-// Every consumer (the Router's per-request candidate walk, the
-// Rebalancer's push/evict diff, the daemon's warm-start donor list)
-// observes exactly one epoch per decision, so a membership change can
-// never tear a single request across two rings: in-flight requests
-// finish on the epoch they started on, and the next request sees the
-// next epoch atomically.
+// Every consumer (the Rebalancer's push/evict diff, the daemon's
+// warm-start donor list) observes exactly one epoch per decision, so a
+// membership change can never tear one handoff across two rings.
 //
 // The seam is deliberately pull-based and clockless: a FileSource
 // re-reads a membership file through the vfs seam when Poll is called,

@@ -1,23 +1,25 @@
-// Package cluster turns independent ljqd daemons into a consistent-
-// hash plan-cache cluster: a deterministic ring routes each canonical
-// query fingerprint to the peer most likely to hold its plan, a
-// breaker-backed health view steers around dead peers, and a shipped
-// snapshot warm-starts joining or recovering peers so a restart does
-// not trigger a cold re-optimization storm.
+// Package cluster lets ljqd daemons exchange cached plans while each
+// keeps its own plan cache. A deterministic consistent-hash ring
+// assigns each canonical query fingerprint an owner; the daemons never
+// forward requests to each other — every node answers every request
+// from its own cache.
 //
-// The routing degradation ladder, rung by rung:
+// What the ring buys without forwarding:
 //
-//  1. primary peer — the ring owner of the fingerprint (cache
-//     affinity: the same shape always lands on the same peer, so the
-//     cluster-wide hit rate approaches the single-node rate);
-//  2. ring successors — on primary failure or open breaker, the next
-//     distinct peers clockwise on the ring, tried one at a time in
-//     ring order;
-//  3. local compute — when every candidate peer is down, the router's
-//     embedded serve.Server optimizes in-process. A user request
-//     fails only when the request itself is defective (4xx) or its
-//     context dies; peer failures never surface as errors while at
-//     least one rung survives.
+//   - warm start: a joining or restarting peer pulls another member's
+//     GET /snapshot before it listens, so a restart does not trigger a
+//     cold re-optimization storm (WarmStart; donors are tried in order
+//     and a torn or dead donor falls through to the next);
+//   - membership epochs: a roster file is polled into monotonically
+//     numbered epochs (FileSource, WatchMembership);
+//   - arc handoff: under each new epoch the Rebalancer pushes the arcs
+//     this node no longer owns to their new owners over
+//     POST /snapshot/arc and evicts them once the push is acked.
+//
+// Only a front end that routes by fingerprint (Ring.Primary) turns
+// this into one search per shape per cluster; without one, a node that
+// handed an arc off answers its next request for that shape as a cold
+// miss.
 package cluster
 
 import (
@@ -58,8 +60,8 @@ type Member struct {
 // hashes to the first 8 bytes of itself — it is already a SHA-256 of
 // the canonical query, so its prefix is uniform — and is owned by the
 // first point clockwise from that value. Everything is a pure function
-// of the member set, so every node (and every routing client) derives
-// the identical ring with no coordination.
+// of the member set, so every node (and any front end routing by
+// fingerprint) derives the identical ring with no coordination.
 type Ring struct {
 	replicas int
 	peers    []string
@@ -151,28 +153,6 @@ func key(fp fingerprint.Fingerprint) uint64 {
 // Primary returns the peer that owns fp.
 func (r *Ring) Primary(fp fingerprint.Fingerprint) string {
 	return r.points[r.search(key(fp))].peer
-}
-
-// Successors returns up to n distinct peers in ring order starting at
-// fp's owner: the failover candidate list (element 0 is the primary).
-func (r *Ring) Successors(fp fingerprint.Fingerprint, n int) []string {
-	if n > len(r.peers) {
-		n = len(r.peers)
-	}
-	if n <= 0 {
-		return nil
-	}
-	out := make([]string, 0, n)
-	seen := make(map[string]bool, n)
-	start := r.search(key(fp))
-	for i := 0; len(out) < n && i < len(r.points); i++ {
-		p := r.points[(start+i)%len(r.points)].peer
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // search finds the index of the first point clockwise from h.

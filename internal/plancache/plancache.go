@@ -265,8 +265,8 @@ func (c *Cache) Get(k Key) (*Entry, bool) {
 
 // Peek returns the cached entry without bumping recency or touching
 // the hit/miss counters: a pure read for observers that must not
-// distort the LRU order or the cache's serving statistics (the cluster
-// router's read-repair comparison, tests).
+// distort the LRU order or the cache's serving statistics (the
+// benchmark harness's trace, the chaos tests' ownership checks).
 func (c *Cache) Peek(k Key) (*Entry, bool) {
 	s := c.shardOf(k)
 	var e *Entry

@@ -18,9 +18,9 @@ import (
 //
 //	{"queries": [<interchange query>, <interchange query>, ...]}
 //
-// The batch path exists for cache-affinity clients (the cluster router,
-// bulk plan pre-warming) that would otherwise pay one round trip per
-// query. Semantics, per the batch contract:
+// The batch path exists for clients with many queries at once (bulk
+// plan pre-warming, a front end batching by owner) that would
+// otherwise pay one round trip per query. Semantics, per the batch contract:
 //
 //   - Every query is fingerprinted first; intra-batch duplicates of the
 //     same canonical shape coalesce onto ONE optimizer run (and any

@@ -536,10 +536,8 @@ var errNoPlan = errors.New("serve: no plan produced")
 // OptimizeQuery is the in-process optimization path: fingerprint the
 // query, consult the cache (coalescing concurrent duplicates), run the
 // optimizer on a miss, and translate the canonical plan back into the
-// requester's relation numbering. It is shared by POST /optimize, the
-// batch endpoint, and the cluster router's local-compute rung — the
-// last rung of the degradation ladder calls this directly instead of
-// looping an HTTP request back to itself.
+// requester's relation numbering. It is shared by POST /optimize and
+// the batch endpoint.
 //
 // Errors: errShed when the limiter's queue deadline passed,
 // ctx.Err() when the caller's deadline did; map them with
@@ -613,9 +611,9 @@ func buildResponse(q *catalog.Query, order []catalog.RelID, fp fingerprint.Finge
 // ResponseFromEntry builds the response envelope for a cached entry in
 // the requester's own relation numbering, marked as a cache hit. It is
 // the exported sibling of the internal hit path, for callers that
-// resolve entries outside OptimizeQuery — the cluster router's
-// read-repair serves a better local entry over a routed response with
-// it. order must be q's canonical order (fingerprint.Canonical).
+// resolve entries outside OptimizeQuery (the benchmark harness times
+// the response build on its own with it). order must be q's canonical
+// order (fingerprint.Canonical).
 func ResponseFromEntry(q *catalog.Query, order []catalog.RelID, fp fingerprint.Fingerprint, entry *plancache.Entry) *OptimizeResponse {
 	return buildResponse(q, order, fp, entry, true, false)
 }
@@ -819,7 +817,6 @@ var jsonBufPool = sync.Pool{
 	New: func() any {
 		e := &jsonEncBuf{}
 		e.enc = json.NewEncoder(&e.buf)
-		e.enc.SetIndent("", "  ")
 		return e
 	},
 }
